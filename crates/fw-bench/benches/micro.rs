@@ -160,7 +160,13 @@ fn bench_rmat() {
     let mut seed = 0u64;
     bench("rmat_generate_10k_edges", iters(200), || {
         seed += 1;
-        fw_graph::rmat::generate_edges(RmatParams::graph500(), 4_096, 10_000, seed)
+        generate_csr(RmatParams::graph500(), 4_096, 10_000, seed)
+    });
+    // Four 2^16-attempt chunks (n = 4096 accepts every attempt): the
+    // parallel waves and the chunked CSR build, which 10k edges never reach.
+    bench("rmat_generate_250k_edges", iters(20), || {
+        seed += 1;
+        generate_csr(RmatParams::graph500(), 4_096, 250_000, seed)
     });
 }
 

@@ -11,7 +11,8 @@
 //! * [`LoadError::Invariant`] — the record parsed but violates an
 //!   internal accounting invariant (critical-path shares that don't sum
 //!   to the end-to-end time, journey segments that don't reconcile with
-//!   their walk's latency). Exit code **4**.
+//!   their walk's latency, a seed statistic with `min > max`, a
+//!   `num_seeds` that contradicts `env.seeds`). Exit code **4**.
 //!
 //! Usage errors keep exit code **2** (the binary's `usage()`), and exit
 //! **1** stays reserved for "the command ran and the gate failed". See
@@ -150,13 +151,64 @@ pub fn validate_serve_record(doc: &Json) -> Result<(), String> {
 /// Check the record's internal books. Pure; used by [`load_bench_report`]
 /// and directly by tests.
 pub fn validate_report(rep: &BenchReport) -> Result<(), String> {
+    let seeds = rep.env.seeds.len() as u64;
     for sc in &rep.scenarios {
+        if sc.num_seeds != seeds {
+            return Err(format!(
+                "{}: num_seeds {} contradicts the {seeds} seed(s) in env.seeds",
+                sc.name, sc.num_seeds
+            ));
+        }
+        ordered(
+            &sc.name,
+            "sim_time_ns",
+            sc.sim_time_ns.min,
+            sc.sim_time_ns.max,
+        )?;
+        ordered(
+            &sc.name,
+            "wall_time_ms",
+            sc.wall_time_ms.min,
+            sc.wall_time_ms.max,
+        )?;
+        if let Some(s) = &sc.speedup_over_graphwalker {
+            ordered(&sc.name, "speedup_over_graphwalker", s.min, s.max)?;
+        }
         if let Some(c) = &sc.critical {
             validate_critical(&sc.name, c)?;
         }
         if let Some(j) = &sc.journeys {
             validate_journeys(&sc.name, j)?;
         }
+    }
+    for h in rep.host.iter().flatten() {
+        ordered(&h.name, "host wall_ns", h.wall_ns.min, h.wall_ns.max)?;
+        ordered(
+            &h.name,
+            "host host_events",
+            h.host_events.min,
+            h.host_events.max,
+        )?;
+        ordered(
+            &h.name,
+            "host events_per_sec",
+            h.events_per_sec.min,
+            h.events_per_sec.max,
+        )?;
+    }
+    Ok(())
+}
+
+/// A seed statistic's `min` may not exceed its `max`: `compare` derives
+/// its noise band from `max - min`, which such a row would wrap or negate.
+fn ordered<T: PartialOrd + fmt::Display>(
+    scenario: &str,
+    stat: &str,
+    min: T,
+    max: T,
+) -> Result<(), String> {
+    if min > max {
+        return Err(format!("{scenario}: {stat} min {min} exceeds max {max}"));
     }
     Ok(())
 }
@@ -272,6 +324,40 @@ mod tests {
         let err = validate_report(&rep).unwrap_err();
         assert!(err.contains("walk 7"), "{err}");
         assert!(err.contains("sum to 40"), "{err}");
+    }
+
+    #[test]
+    fn inverted_seed_stats_are_an_invariant_failure() {
+        let mut rep = crate::bench_json::tests_support::tiny_report();
+        rep.scenarios[0].sim_time_ns.min = 1011;
+        let err = validate_report(&rep).unwrap_err();
+        assert!(
+            err.contains("sim_time_ns min 1011 exceeds max 1010"),
+            "{err}"
+        );
+
+        let mut rep = crate::bench_json::tests_support::tiny_report();
+        rep.scenarios[0]
+            .speedup_over_graphwalker
+            .as_mut()
+            .unwrap()
+            .max = 4.0;
+        let err = validate_report(&rep).unwrap_err();
+        assert!(
+            err.contains("speedup_over_graphwalker min 4.5 exceeds max 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn num_seeds_must_match_env_seeds() {
+        let mut rep = crate::bench_json::tests_support::tiny_report();
+        rep.scenarios[0].num_seeds = 3;
+        let err = validate_report(&rep).unwrap_err();
+        assert!(
+            err.contains("num_seeds 3 contradicts the 2 seed(s)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -143,6 +143,14 @@ pub fn why_reports(base: &BenchReport, cur: &BenchReport) -> Result<WhyResult, S
             base.env.threads, cur.env.threads
         ));
     }
+    if base.env.rng != cur.env.rng {
+        return Err(format!(
+            "rng-model mismatch: baseline ran --rng {}, current --rng {} — these are \
+             different sampling universes, so their critical-path deltas are not causal",
+            base.env.rng.as_str(),
+            cur.env.rng.as_str()
+        ));
+    }
     if base.env.graph_scale != cur.env.graph_scale
         || base.env.struct_scale != cur.env.struct_scale
         || base.env.config != cur.env.config
@@ -296,6 +304,11 @@ mod tests {
         cur.env.fault_profile = "heavy".into();
         let err = why_reports(&base, &cur).unwrap_err();
         assert!(err.contains("fault profile mismatch"), "{err}");
+
+        let mut cur = record(crit(1000, &[("a", 0, 1000, 0)]));
+        cur.env.rng = fw_sim::RngModel::Sharded;
+        let err = why_reports(&base, &cur).unwrap_err();
+        assert!(err.contains("rng-model mismatch"), "{err}");
 
         let mut cur = record(crit(1000, &[("a", 0, 1000, 0)]));
         cur.env.graph_scale = 9;

@@ -1,9 +1,11 @@
-//! CLI regression tests for `fwbench hostperf` (ISSUE 10 satellites):
-//! the missing-baseline argument/path cases must exit through the usage
-//! and shared-loader paths (2 / 3) instead of panicking, and a baseline
-//! whose fallback wall-time is zero or sub-microsecond must be visibly
-//! warned about or compared — never silently dropped from the "vs base"
-//! column.
+//! CLI regression tests for the record-reading `fwbench` subcommands.
+//! `hostperf`: the missing-baseline argument/path cases must exit through
+//! the usage and shared-loader paths (2 / 3) instead of panicking, and a
+//! baseline whose fallback wall-time is zero or sub-microsecond must be
+//! visibly warned about or compared — never silently dropped from the
+//! "vs base" column. `compare`: a record whose seed statistics contradict
+//! themselves is an invariant failure (4), not a passing row. `why`:
+//! records from different RNG universes are refused, as `compare` does.
 //!
 //! Records are doctored `tests_support::tiny_report` fixtures written to
 //! a per-test temp directory; the binary under test comes from
@@ -27,12 +29,16 @@ fn write_record(dir: &Path, name: &str, rep: &BenchReport) -> PathBuf {
     path
 }
 
-fn hostperf(args: &[&str]) -> Output {
+fn fwbench(cmd: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fwbench"))
-        .arg("hostperf")
+        .arg(cmd)
         .args(args)
         .output()
         .expect("run fwbench")
+}
+
+fn hostperf(args: &[&str]) -> Output {
+    fwbench("hostperf", args)
 }
 
 fn exit_code(out: &Output) -> i32 {
@@ -190,4 +196,51 @@ fn zero_wall_fallback_scenario_warns_visibly_instead_of_silently_dropping() {
         stdout.contains("0.50x"),
         "the priced row still compares:\n{stdout}"
     );
+}
+
+#[test]
+fn compare_refuses_corrupt_seed_stats_as_invariant_failures() {
+    let dir = tmp_dir("corrupt_stats");
+    let base = write_record(&dir, "BENCH_base.json", &tiny_report());
+    // min > max used to wrap `max - min` into a ~1.8e14 % noise band that
+    // passed the row whatever it held.
+    let mut inverted = tiny_report();
+    inverted.scenarios[0].sim_time_ns.min = 5_000;
+    let mut miscounted = tiny_report();
+    miscounted.scenarios[0].num_seeds = 5;
+    for (name, rep, want) in [
+        ("BENCH_inverted.json", inverted, "min 5000 exceeds max 1010"),
+        (
+            "BENCH_miscounted.json",
+            miscounted,
+            "num_seeds 5 contradicts",
+        ),
+    ] {
+        let cur = write_record(&dir, name, &rep);
+        let out = fwbench("compare", &[base.to_str().unwrap(), cur.to_str().unwrap()]);
+        assert_eq!(exit_code(&out), 4, "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{name}: {err}");
+    }
+}
+
+#[test]
+fn why_refuses_records_from_different_rng_universes() {
+    let dir = tmp_dir("why_rng");
+    let mut rep = tiny_report();
+    rep.env.critical = true;
+    rep.scenarios[0].critical = Some(
+        fw_bench::bench_json::Json::parse(
+            r#"{"total_ns":1000,"path_segments":1,"truncated":false,
+                "shares":[{"name":"a","lane":0,"count":1,"service_ns":1000,"wait_ns":0}]}"#,
+        )
+        .unwrap(),
+    );
+    let base = write_record(&dir, "BENCH_global.json", &rep);
+    rep.env.rng = fw_sim::RngModel::Sharded;
+    let cur = write_record(&dir, "BENCH_sharded.json", &rep);
+    let out = fwbench("why", &[base.to_str().unwrap(), cur.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("rng-model mismatch"), "{err}");
 }

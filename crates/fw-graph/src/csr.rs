@@ -29,10 +29,21 @@ impl Csr {
     /// edges are kept (they simply weight the destination implicitly),
     /// self-loops are dropped.
     pub fn from_edges(num_vertices: u32, edge_list: &[(VertexId, VertexId)]) -> Csr {
+        Csr::from_edge_chunks(num_vertices, &[edge_list])
+    }
+
+    /// [`Csr::from_edges`] over the concatenation of `chunks`, without
+    /// materialising it: the degree and scatter passes walk the chunks in
+    /// order, so the result equals `from_edges(n, &chunks.concat())`.
+    pub fn from_edge_chunks<C: AsRef<[(VertexId, VertexId)]>>(
+        num_vertices: u32,
+        chunks: &[C],
+    ) -> Csr {
         let n = num_vertices as usize;
+        let all = || chunks.iter().flat_map(|c| c.as_ref());
         let mut degree = vec![0u64; n];
         let mut kept = 0u64;
-        for &(u, v) in edge_list {
+        for &(u, v) in all() {
             debug_assert!((u as usize) < n && (v as usize) < n, "edge out of range");
             if u != v {
                 degree[u as usize] += 1;
@@ -48,7 +59,7 @@ impl Csr {
         }
         let mut edges = vec![0 as VertexId; kept as usize];
         let mut cursor = offsets.clone();
-        for &(u, v) in edge_list {
+        for &(u, v) in all() {
             if u != v {
                 let c = &mut cursor[u as usize];
                 edges[*c as usize] = v;
@@ -296,6 +307,32 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn prop_chunked_build_equals_concatenated_build() {
+        let mut rng = Xoshiro256pp::new(0xc5a0);
+        for _ in 0..64 {
+            let edges = random_edges(&mut rng, 30, 300);
+            // Cut at random points, empty chunks included.
+            let mut cuts: Vec<usize> = (0..rng.next_below(5))
+                .map(|_| rng.next_below(edges.len() as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([edges.len()]) {
+                chunks.push(&edges[from..cut]);
+                from = cut;
+            }
+            let whole = Csr::from_edges(30, &edges);
+            let chunked = Csr::from_edge_chunks(30, &chunks);
+            assert_eq!(chunked.offsets, whole.offsets);
+            assert_eq!(chunked.edges, whole.edges);
+        }
+        let none: [&[(u32, u32)]; 0] = [];
+        let empty = Csr::from_edge_chunks(3, &none);
+        assert_eq!((empty.num_vertices(), empty.num_edges()), (3, 0));
     }
 
     // Deterministic generator sweeps standing in for the former proptest

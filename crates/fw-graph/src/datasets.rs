@@ -211,6 +211,38 @@ mod tests {
         assert!(p.dense.iter().any(|m| m.num_blocks >= 2));
     }
 
+    /// 64-bit FNV-1a over the CSR's `offsets` (u64 LE) then `edges`
+    /// (u32 LE): a byte-exact fingerprint of the generated graph.
+    fn csr_checksum(g: &Csr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for v in 0..=g.num_vertices() {
+            eat(&g.edge_start(v).to_le_bytes());
+        }
+        for &e in g.edge_slice() {
+            eat(&e.to_le_bytes());
+        }
+        h
+    }
+
+    /// Pins the generator's exact output: any change to the RMAT draw
+    /// order, its floating-point evaluation order or the CSR build shows
+    /// up here. The constants were taken from the serial generator.
+    #[test]
+    fn generated_graphs_are_pinned_byte_for_byte() {
+        for (id, want) in [
+            (DatasetId::Twitter, 0xd003_a490_0456_7114),
+            (DatasetId::Rmat2B, 0x1adb_39e2_5035_762e),
+        ] {
+            let got = csr_checksum(&Dataset::generate(id, 42).csr);
+            assert_eq!(got, want, "{id:?} seed 42 checksum drifted: {got:#018x}");
+        }
+    }
+
     #[test]
     fn walk_counts_match_paper_scaled() {
         assert_eq!(DatasetId::ClueWeb.default_walks(), 2_000_000);

@@ -40,6 +40,8 @@ pub use fw_trace::{
     TraceConfig, TraceReport, Tracer, WalkJourney,
 };
 pub use pool::WorkerPool;
-pub use rng::{derive_stream_seed, LaneRngs, RngModel, SplitMix64, Xoshiro256pp, WALK_LANE_STREAM};
+pub use rng::{
+    derive_stream_seed, Gf2Mat, LaneRngs, RngModel, SplitMix64, Xoshiro256pp, WALK_LANE_STREAM,
+};
 pub use shard::{ShardId, ShardedClock, ShardedEventQueue, SyncWindow};
 pub use timeline::{BandwidthLink, ServerBank, Timeline};

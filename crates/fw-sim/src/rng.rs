@@ -149,6 +149,111 @@ impl Xoshiro256pp {
         }
         self.s = s;
     }
+
+    /// Advance the stream by exactly `n` draws, as if `next_u64` had been
+    /// called `n` times, in O(log n) 256×256 GF(2) matrix products.
+    ///
+    /// Callers that advance many states by the same distance should build
+    /// [`Gf2Mat::step_pow`] once and use [`Xoshiro256pp::transform`].
+    pub fn advance(&mut self, n: u64) {
+        self.transform(&Gf2Mat::step_pow(n));
+    }
+
+    /// Replace the state `s` with `m · s`. With `m = Gf2Mat::step_pow(n)`
+    /// this is an `n`-draw advance.
+    pub fn transform(&mut self, m: &Gf2Mat) {
+        self.s = m.mat_vec(self.s);
+    }
+}
+
+/// One step of the xoshiro256 *state* transition (the `++` output
+/// scrambler is not part of the state map): the linear map that
+/// [`Gf2Mat::step`] encodes. It repeats `next_u64`'s state update, which
+/// stays hand-inlined on the hot path; `step_matrix_is_one_draw` checks
+/// that the two agree.
+fn step_state(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// A 256×256 matrix over GF(2) acting on xoshiro256 states.
+///
+/// Column-major: `cols[j]` is the image of basis vector `e_j`, itself a
+/// 256-bit vector packed as `[u64; 4]` in the generator's state layout.
+/// The state transition is linear over GF(2), so `T^n` (built by
+/// [`Gf2Mat::step_pow`]) maps any state to the state `n` draws later.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Gf2Mat {
+    cols: Vec<[u64; 4]>,
+}
+
+impl Gf2Mat {
+    /// The identity map.
+    pub(crate) fn identity() -> Self {
+        Gf2Mat {
+            cols: (0..256).map(unit).collect(),
+        }
+    }
+
+    /// `T`, the one-draw state transition.
+    pub(crate) fn step() -> Self {
+        Gf2Mat {
+            cols: (0..256)
+                .map(|j| {
+                    let mut e = unit(j);
+                    step_state(&mut e);
+                    e
+                })
+                .collect(),
+        }
+    }
+
+    /// `T^n` by square-and-multiply: at most 2·64 matrix products.
+    pub fn step_pow(mut n: u64) -> Self {
+        let mut acc = Gf2Mat::identity();
+        let mut pow = Gf2Mat::step();
+        while n > 0 {
+            if n & 1 == 1 {
+                acc = pow.mul(&acc);
+            }
+            n >>= 1;
+            if n > 0 {
+                pow = pow.mul(&pow);
+            }
+        }
+        acc
+    }
+
+    /// `self · v`: the XOR of the columns selected by `v`'s set bits.
+    pub(crate) fn mat_vec(&self, v: [u64; 4]) -> [u64; 4] {
+        let mut out = [0u64; 4];
+        for (j, col) in self.cols.iter().enumerate() {
+            let mask = 0u64.wrapping_sub((v[j / 64] >> (j % 64)) & 1);
+            for w in 0..4 {
+                out[w] ^= col[w] & mask;
+            }
+        }
+        out
+    }
+
+    /// The composition `self · rhs` (apply `rhs` first).
+    pub(crate) fn mul(&self, rhs: &Gf2Mat) -> Gf2Mat {
+        Gf2Mat {
+            cols: rhs.cols.iter().map(|&c| self.mat_vec(c)).collect(),
+        }
+    }
+}
+
+/// Basis vector `e_j` in the packed state layout.
+fn unit(j: usize) -> [u64; 4] {
+    let mut e = [0u64; 4];
+    e[j / 64] |= 1u64 << (j % 64);
+    e
 }
 
 /// Stream tag for the per-lane walk-sampling base generator (see
@@ -352,40 +457,6 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// One step of the xoshiro256++ *state* transition (the output
-    /// scrambler is not part of the state map), for building its GF(2)
-    /// matrix.
-    fn step_state(s: &mut [u64; 4]) {
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-    }
-
-    /// 256×256 GF(2) matrix, column-major: `cols[j]` is the image of basis
-    /// vector `e_j`, itself a 256-bit vector packed as `[u64; 4]` in the
-    /// same layout as the generator state.
-    type Gf2Mat = Vec<[u64; 4]>;
-
-    fn mat_vec(m: &Gf2Mat, v: [u64; 4]) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        for j in 0..256 {
-            if v[j / 64] & (1u64 << (j % 64)) != 0 {
-                for w in 0..4 {
-                    out[w] ^= m[j][w];
-                }
-            }
-        }
-        out
-    }
-
-    fn mat_square(m: &Gf2Mat) -> Gf2Mat {
-        (0..256).map(|j| mat_vec(m, m[j])).collect()
-    }
-
     /// Independent verification of the JUMP polynomial: the state after
     /// `jump()` must equal the state advanced 2^128 single steps, computed
     /// as T^(2^128)·s via 128 squarings of the GF(2) transition matrix.
@@ -393,16 +464,9 @@ mod tests {
     /// transcription error in either the constants or the jump loop.
     #[test]
     fn jump_matches_gf2_transition_matrix_power() {
-        let mut t: Gf2Mat = (0..256)
-            .map(|j| {
-                let mut e = [0u64; 4];
-                e[j / 64] |= 1u64 << (j % 64);
-                step_state(&mut e);
-                e
-            })
-            .collect();
+        let mut t = Gf2Mat::step();
         for _ in 0..128 {
-            t = mat_square(&t);
+            t = t.mul(&t);
         }
         for seed in [0xDEAD_BEEFu64, 42, 7] {
             let mut g = Xoshiro256pp::new(seed);
@@ -410,10 +474,59 @@ mod tests {
             for _ in 0..5 {
                 g.next_u64();
             }
-            let expect = mat_vec(&t, g.s);
+            let expect = t.mat_vec(g.s);
             g.jump();
             assert_eq!(g.s, expect, "seed {seed}: jump() is not T^(2^128)");
         }
+    }
+
+    /// The state matrix must agree with the generator's own step, or every
+    /// matrix-derived advance (and the jump check above) is meaningless.
+    #[test]
+    fn step_matrix_is_one_draw() {
+        let mut g = Xoshiro256pp::new(9);
+        let expect = Gf2Mat::step().mat_vec(g.s);
+        g.next_u64();
+        assert_eq!(g.s, expect);
+        assert_eq!(Gf2Mat::step_pow(0), Gf2Mat::identity());
+        assert_eq!(Gf2Mat::step_pow(1), Gf2Mat::step());
+    }
+
+    #[test]
+    fn advance_equals_repeated_draws() {
+        for n in [0u64, 1, 63, 64, 65, 5 * 17 * (1 << 16)] {
+            let mut stepped = Xoshiro256pp::new(42);
+            for _ in 0..n {
+                stepped.next_u64();
+            }
+            let mut jumped = Xoshiro256pp::new(42);
+            jumped.advance(n);
+            assert_eq!(jumped.s, stepped.s, "advance({n}) != {n} draws");
+            assert_eq!(jumped.next_u64(), stepped.next_u64());
+        }
+    }
+
+    #[test]
+    fn advances_compose_additively() {
+        for (a, b) in [
+            (0u64, 7u64),
+            (1, 1),
+            (1000, 24_001),
+            (1 << 40, (1 << 40) + 3),
+        ] {
+            let mut split = Xoshiro256pp::new(7);
+            split.advance(a);
+            split.advance(b);
+            let mut whole = Xoshiro256pp::new(7);
+            whole.advance(a + b);
+            assert_eq!(split.s, whole.s, "advance({a}) + advance({b})");
+        }
+        // `transform` with a prebuilt power is the same advance.
+        let mut via_mat = Xoshiro256pp::new(7);
+        via_mat.transform(&Gf2Mat::step_pow(5 * 13));
+        let mut direct = Xoshiro256pp::new(7);
+        direct.advance(65);
+        assert_eq!(via_mat.s, direct.s);
     }
 
     #[test]
