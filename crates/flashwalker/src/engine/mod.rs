@@ -15,9 +15,12 @@
 //!   batches, board batches and destination resolution.
 //! * `partition` — the partition walk buffer, foreigner pages, partition
 //!   setup and switching.
+//! * `layout` — [`FwLayout`]: subgraph placement, lookup tables and each
+//!   partition's static data, built once per graph and shared by every
+//!   run over it.
 //!
-//! This file owns the simulator struct, construction (graph layout,
-//! tables, per-level state) and the top-level event loop.
+//! This file owns the simulator struct, construction over a layout
+//! (per-level state) and the top-level event loop.
 //!
 //! ## Model granularity
 //!
@@ -55,6 +58,7 @@
 //!    set up and its foreigner pages are read back.
 
 mod events;
+mod layout;
 mod partition;
 mod routing;
 mod sched;
@@ -65,12 +69,14 @@ pub mod step;
 mod tests;
 
 pub use events::{FwReport, FwStats};
+pub use layout::FwLayout;
+
+use std::borrow::Cow;
 
 use fw_dram::{Dram, DramConfig};
 use fw_fault::{derive_stream_seed, FaultProfile, FAULT_STREAM};
-use fw_graph::{Csr, PartitionedGraph, RangeTable, SubgraphMappingTable};
-use fw_nand::layout::GraphBlockPlacement;
-use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
+use fw_graph::{Csr, PartitionedGraph};
+use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{
     CriticalConfig, CriticalRecorder, JourneyConfig, JourneyRecorder, LaneRngs, RngModel, ShardId,
     ShardedClock, ShardedEventQueue, SimTime, TimeSeries, TraceConfig, Tracer, Xoshiro256pp,
@@ -78,7 +84,7 @@ use fw_sim::{
 use fw_walk::{FaultSummary, RunReport, WalkEngine, Workload, WALK_BYTES};
 
 use crate::config::AccelConfig;
-use crate::tables::{DenseTable, WalkQueryCache};
+use crate::tables::WalkQueryCache;
 use events::Ev;
 use state::{ChannelState, ChipState, ForeignStore, Pools, Pwb, SgId, Slot, TWalk};
 use step::prewalk_slice;
@@ -89,14 +95,11 @@ pub struct FlashWalkerSim<'g> {
     csr: &'g Csr,
     pg: &'g PartitionedGraph,
     wl: Workload,
-    table: SubgraphMappingTable,
-    ranges: RangeTable,
-    dense: DenseTable,
+    /// Placement, lookup tables and per-partition static data;
+    /// read-only during the run.
+    layout: Cow<'g, FwLayout>,
     ssd: Ssd,
     dram: Dram,
-    placements: Vec<GraphBlockPlacement>,
-    /// Mapping-table entry window per partition.
-    part_windows: Vec<(usize, usize)>,
     /// Sharded event streams: one shard per channel (carrying that
     /// channel's chip and channel-accelerator events) plus a board/PCIe
     /// shard. The merged pop order is bit-identical to the monolithic
@@ -130,10 +133,6 @@ pub struct FlashWalkerSim<'g> {
     caches: Vec<WalkQueryCache>,
 
     pwb: Pwb,
-    /// Per-chip PWB entry indices (ascending), rebuilt at each partition
-    /// setup: the scheduler's candidate scan only walks the entries that
-    /// can actually be placed on the chip instead of the whole partition.
-    chip_pwb: Vec<Vec<u32>>,
     foreign: ForeignStore,
     current_partition: u32,
     pending_loads: std::collections::HashMap<(u32, SgId), Vec<TWalk>>,
@@ -193,9 +192,9 @@ fn page_walks(ssd: &Ssd) -> u64 {
 }
 
 impl<'g> FlashWalkerSim<'g> {
-    /// Build a simulator over a partitioned graph. `static_blocks` of each
-    /// plane are reserved for the graph region. The workload is supplied
-    /// at run time ([`Self::run_detailed`] / [`WalkEngine::run`]).
+    /// Build a simulator over a partitioned graph, laying it out in the
+    /// SSD's static region. The workload is supplied at run time
+    /// ([`Self::run_detailed`] / [`WalkEngine::run`]).
     ///
     /// # Panics
     /// Panics if the graph does not fit the static region, or if the
@@ -207,44 +206,33 @@ impl<'g> FlashWalkerSim<'g> {
         ssd_cfg: SsdConfig,
         seed: u64,
     ) -> Self {
+        let layout = FwLayout::build(pg, &cfg, &ssd_cfg);
+        Self::from_layout(csr, pg, Cow::Owned(layout), cfg, ssd_cfg, seed)
+    }
+
+    /// Build a simulator over a prepared [`FwLayout`], which callers
+    /// running many batches over one graph build once and borrow.
+    ///
+    /// # Panics
+    /// Panics if `layout` was not built for this partitioning, SSD
+    /// geometry, range size and hot-slot config, or if the partition
+    /// size exceeds the mapping-table capacity.
+    pub fn from_layout(
+        csr: &'g Csr,
+        pg: &'g PartitionedGraph,
+        layout: Cow<'g, FwLayout>,
+        cfg: AccelConfig,
+        ssd_cfg: SsdConfig,
+        seed: u64,
+    ) -> Self {
         assert!(
             pg.config.subgraphs_per_partition <= cfg.mapping_table_entries(),
             "partition ({}) exceeds mapping table capacity ({})",
             pg.config.subgraphs_per_partition,
             cfg.mapping_table_entries()
         );
-        // Lay the graph out in the static region, leaving the rest to the
-        // FTL for walk spills.
-        let pages_per_sg = (pg.config.subgraph_bytes / ssd_cfg.geometry.page_bytes).max(1) as u32;
-        let total_pages = pg.num_subgraphs() as u64 * pages_per_sg as u64;
-        let per_plane_pages = total_pages.div_ceil(ssd_cfg.geometry.num_planes() as u64);
-        let static_blocks =
-            (per_plane_pages.div_ceil(ssd_cfg.geometry.pages_per_block as u64) as u32 + 1)
-                .min(ssd_cfg.geometry.blocks_per_plane - 4);
-        let mut layout = GraphLayout::new(ssd_cfg.geometry, static_blocks);
-        let placements: Vec<GraphBlockPlacement> = (0..pg.num_subgraphs())
-            .map(|_| layout.place_block(pages_per_sg))
-            .collect();
-
-        let table = SubgraphMappingTable::build(pg);
-        let ranges = RangeTable::build(&table, cfg.range_size);
-        let dense = DenseTable::build(pg);
-
-        // Per-partition entry windows.
-        let mut part_windows = vec![(usize::MAX, 0usize); pg.num_partitions() as usize];
-        for (i, e) in table.entries().iter().enumerate() {
-            let p = pg.partition_of(e.sg_id) as usize;
-            let w = &mut part_windows[p];
-            w.0 = w.0.min(i);
-            w.1 = w.1.max(i + 1);
-        }
-        for w in &mut part_windows {
-            if w.0 == usize::MAX {
-                *w = (0, 0);
-            }
-        }
-
-        let ssd = Ssd::new(ssd_cfg, static_blocks);
+        layout.assert_built_for(pg, &cfg, &ssd_cfg);
+        let ssd = Ssd::new(ssd_cfg, layout.static_blocks);
         let geometry = ssd_cfg.geometry;
         let chip_slots = cfg.chip_slots(pg.config.subgraph_bytes);
         let chips = (0..geometry.num_chips())
@@ -252,7 +240,6 @@ impl<'g> FlashWalkerSim<'g> {
             .collect();
         let channels = (0..geometry.channels)
             .map(|_| ChannelState {
-                hot: Vec::new(),
                 inbox: Vec::new(),
                 busy: false,
             })
@@ -266,13 +253,9 @@ impl<'g> FlashWalkerSim<'g> {
             csr,
             pg,
             wl: Workload::paper_default(0),
-            table,
-            ranges,
-            dense,
+            layout,
             ssd,
             dram: Dram::new(DramConfig::ddr4_1600()),
-            placements,
-            part_windows,
             // One shard per channel, plus the board/PCIe shard last.
             events: ShardedEventQueue::new(geometry.channels as usize + 1),
             threads: 1,
@@ -284,7 +267,6 @@ impl<'g> FlashWalkerSim<'g> {
             chips,
             channels,
             board: state::BoardState {
-                hot: Vec::new(),
                 inbox: Vec::new(),
                 busy: false,
                 foreigner_buf: Vec::new(),
@@ -292,7 +274,6 @@ impl<'g> FlashWalkerSim<'g> {
             },
             caches,
             pwb: Pwb::new(0, 1, 4),
-            chip_pwb: Vec::new(),
             foreign: ForeignStore::default(),
             current_partition: 0,
             pending_loads: std::collections::HashMap::new(),
@@ -435,8 +416,13 @@ impl<'g> FlashWalkerSim<'g> {
         self.ssd.config().geometry.num_chips()
     }
 
+    /// The current partition's static data.
+    fn part(&self) -> &layout::PartLayout {
+        &self.layout.parts[self.current_partition as usize]
+    }
+
     fn chip_of_sg(&self, sg: SgId) -> u32 {
-        self.placements[sg as usize].chip
+        self.layout.placements[sg as usize].chip
     }
 
     fn channel_of_chip(&self, chip: u32) -> u32 {

@@ -298,10 +298,6 @@ impl FlashWalkerSim<'_> {
         let inbox_all = &mut self.channels[ch as usize].inbox;
         let take = inbox_all.len().min(self.cfg.chan_batch_cap);
         inbox.extend(inbox_all.drain(..take));
-        // Borrow the hot list by moving it out for the batch; restored
-        // below (nothing mutates it mid-batch — hot sets only change at
-        // partition setup).
-        let hot = std::mem::take(&mut self.channels[ch as usize].hot);
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
         let mut to_board = self.pools[sh].take_walks();
@@ -320,7 +316,8 @@ impl FlashWalkerSim<'_> {
             let mut done = false;
             if self.cfg.opts.hot_subgraphs {
                 loop {
-                    let (hit, gops) = guide_local(self.pg, &hot, tw.walk.cur);
+                    let hot = &self.part().chan_hot[ch as usize];
+                    let (hit, gops) = guide_local(self.pg, hot, tw.walk.cur);
                     guid_ops += gops as u64;
                     let Some(_sg) = hit else { break };
                     let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
@@ -346,7 +343,7 @@ impl FlashWalkerSim<'_> {
             }
             // Approximate walk search (WQ): tag the walk with its range.
             if self.cfg.opts.walk_query {
-                let rl = self.ranges.lookup(tw.walk.cur);
+                let rl = self.layout.ranges.lookup(tw.walk.cur);
                 guid_ops += rl.steps as u64;
                 tw.range = rl.range_id;
             } else {
@@ -356,7 +353,6 @@ impl FlashWalkerSim<'_> {
         }
         self.put_walk_rng(sh, wrng);
         self.scratch = inbox;
-        self.channels[ch as usize].hot = hot;
 
         self.completed += completed_now;
         self.board.completed_buf += completed_now;
@@ -434,14 +430,14 @@ impl FlashWalkerSim<'_> {
         let mut gops: u64 = 1; // dense-table bloom probe
         let mut probes: u64 = 0;
         // Dense vertices mapping table first (§III-D).
-        if let Some(meta) = self.dense.lookup(v) {
+        if let Some(meta) = self.layout.dense.lookup(v) {
             let cap = self.pg.config.dense_slice_edges();
             let (sg, ops) = prewalk_slice(&meta, cap, rng);
             gops += ops as u64;
             let dest = (self.pg.partition_of(sg) == self.current_partition).then_some(sg);
             return (dest, gops, probes);
         }
-        let (pstart, pend) = self.part_windows[self.current_partition as usize];
+        let (pstart, pend) = self.layout.part_windows[self.current_partition as usize];
         if self.cfg.opts.walk_query {
             // Walk query cache probe. A hit may name a subgraph of another
             // partition (cached entries are graph-wide) — such walks are
@@ -456,12 +452,12 @@ impl FlashWalkerSim<'_> {
             // Narrowed search: range window ∩ partition window.
             let (s, e) = match tw.range {
                 Some(rid) => {
-                    let (rs, re) = self.ranges.entry_window(rid);
+                    let (rs, re) = self.layout.ranges.entry_window(rid);
                     (rs.max(pstart), re.min(pend))
                 }
                 None => (pstart, pend),
             };
-            let l = self.table.lookup_in(v, s, e.max(s));
+            let l = self.layout.table.lookup_in(v, s, e.max(s));
             // "A binary search always touches common nodes in the upper
             // level of the binary search tree, and therefore these nodes
             // exhibit strong temporal locality" (§III-D): the top
@@ -472,13 +468,14 @@ impl FlashWalkerSim<'_> {
             gops += charged;
             probes += charged;
             if let Some(sg) = l.sg_id {
-                let entry = self.table.entries()[l.entry_idx.expect("entry for hit") as usize];
+                let entry =
+                    self.layout.table.entries()[l.entry_idx.expect("entry for hit") as usize];
                 self.caches[cache_idx].install(entry.low, entry.high, sg);
                 return (Some(sg), gops, probes);
             }
             (None, gops, probes)
         } else {
-            let l = self.table.lookup_in(v, pstart, pend);
+            let l = self.layout.table.lookup_in(v, pstart, pend);
             gops += l.steps as u64;
             probes += l.steps as u64;
             (l.sg_id, gops, probes)
@@ -493,8 +490,6 @@ impl FlashWalkerSim<'_> {
         debug_assert!(inbox.is_empty());
         let take = self.board.inbox.len().min(self.cfg.board_batch_cap);
         inbox.extend(self.board.inbox.drain(..take));
-        // Moved out for the batch, restored below (see run_channel_batch).
-        let hot = std::mem::take(&mut self.board.hot);
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
         let mut map_probes: u64 = 0;
@@ -528,7 +523,7 @@ impl FlashWalkerSim<'_> {
                     Some(sg) => {
                         // Board-hot updating (HS).
                         if self.cfg.opts.hot_subgraphs
-                            && hot.contains(&sg)
+                            && self.part().board_hot.contains(&sg)
                             && !self.pg.subgraphs[sg as usize].is_dense()
                         {
                             let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
@@ -581,7 +576,6 @@ impl FlashWalkerSim<'_> {
         }
         self.put_walk_rng(bs, wrng);
         self.scratch = inbox;
-        self.board.hot = hot;
 
         // Flush foreigner pages if the buffer overflowed.
         let pw = page_walks(&self.ssd) as usize;

@@ -50,7 +50,7 @@ impl FlashWalkerSim<'_> {
         let chip_state = &self.chips[chip as usize];
         let threshold = if relaxed { 1 } else { self.cfg.min_load_walks };
         let mut best: Option<(f64, SgId)> = None;
-        for &idx in &self.chip_pwb[chip as usize] {
+        for &idx in self.part().chip_entries(chip) {
             let idx = idx as usize;
             let entry = &self.pwb.entries[idx];
             let sg = self.pwb.first_sg + idx as u32;
@@ -88,8 +88,8 @@ impl FlashWalkerSim<'_> {
         // Graph block pages: chip-private path, no channel traffic
         // (index loop: `Ppa` is `Copy`, so no placement clone needed).
         let mut array_done = now;
-        for i in 0..self.placements[sg as usize].pages.len() {
-            let ppa = self.placements[sg as usize].pages[i];
+        for i in 0..self.layout.placements[sg as usize].pages.len() {
+            let ppa = self.layout.placements[sg as usize].pages[i];
             let (r, fault) = self.ssd.array_read_checked(now, ppa);
             let mut end = r.end;
             if j_on && fault.extra.as_nanos() > 0 {

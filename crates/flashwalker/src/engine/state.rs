@@ -109,9 +109,6 @@ impl ChipState {
 /// Channel-level accelerator state.
 #[derive(Debug, Clone)]
 pub struct ChannelState {
-    /// Hot subgraphs resident this partition (top-K in-degree among the
-    /// channel's chips).
-    pub hot: Vec<SgId>,
     /// Walks that arrived from chip-level accelerators, pending a batch.
     pub inbox: Vec<TWalk>,
     /// A batch is running.
@@ -121,8 +118,6 @@ pub struct ChannelState {
 /// Board-level accelerator state (tables live in the sim root).
 #[derive(Debug, Clone)]
 pub struct BoardState {
-    /// Hot subgraphs resident this partition (global top in-degree).
-    pub hot: Vec<SgId>,
     /// Walks pending a board batch.
     pub inbox: Vec<TWalk>,
     /// A batch is running.

@@ -557,3 +557,65 @@ fn heavy_fault_journeys_surface_retry_and_stall_segments() {
         "heavy faults must appear as retry/stall events in sampled journeys"
     );
 }
+
+/// One layout shared by several runs gives the same reports as engines
+/// that build their own: across seeds, faults, span tracing and
+/// journeys, on a multi-partition graph, and with HS off (the fw-base
+/// config, whose layout holds no hot sets).
+#[test]
+fn shared_layout_runs_match_fresh_engines() {
+    let (csr, multi) = small_setup(2000, 20_000, 8);
+    assert!(multi.num_partitions() > 2);
+    let (_, single) = small_setup(2000, 20_000, 5_000);
+    let base = AccelConfig {
+        opts: crate::OptToggles::none(),
+        ..AccelConfig::scaled()
+    };
+    let ssd = SsdConfig::tiny();
+    type Setup = fn(FlashWalkerSim<'_>) -> FlashWalkerSim<'_>;
+    let runs: [(u64, Setup); 4] = [
+        (5, |e| e.with_walk_log()),
+        (6, |e| e.with_faults(fw_fault::FaultProfile::heavy())),
+        (7, |e| e.with_span_trace(fw_sim::TraceConfig::default())),
+        (8, |e| e.with_journeys(fw_sim::JourneyConfig::default())),
+    ];
+    for (name, pg, cfg) in [
+        ("multi-partition", &multi, AccelConfig::scaled()),
+        ("single-partition", &single, AccelConfig::scaled()),
+        ("multi-partition fw-base", &multi, base),
+    ] {
+        let layout = FwLayout::build(pg, &cfg, &ssd);
+        for (seed, setup) in runs {
+            let wl = Workload::paper_default(1_500);
+            let fresh = setup(FlashWalkerSim::new(&csr, pg, cfg, ssd, seed)).run_detailed(wl);
+            let shared =
+                FlashWalkerSim::from_layout(&csr, pg, Cow::Borrowed(&layout), cfg, ssd, seed);
+            let shared = setup(shared).run_detailed(wl);
+            assert_eq!(
+                format!("{shared:?}"),
+                format!("{fresh:?}"),
+                "{name}, seed {seed}: shared-layout report differs"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "FwLayout was built for a different")]
+fn layout_built_for_another_hot_slot_config_is_refused() {
+    let (csr, pg) = small_setup(1000, 8_000, 5_000);
+    let cfg = AccelConfig::scaled();
+    let layout = FwLayout::build(&pg, &cfg, &SsdConfig::tiny());
+    let base = AccelConfig {
+        opts: crate::OptToggles::none(),
+        ..cfg
+    };
+    let _ = FlashWalkerSim::from_layout(
+        &csr,
+        &pg,
+        Cow::Borrowed(&layout),
+        base,
+        SsdConfig::tiny(),
+        99,
+    );
+}

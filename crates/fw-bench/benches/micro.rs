@@ -1,7 +1,8 @@
 //! Microbenches for the hot structures of the reproduction: mapping-table
 //! binary search (full vs range-narrowed), the walk query cache, the
 //! dense-vertex bloom filter, unbiased vs ITS sampling, RMAT edge
-//! generation, the event queue, DRAM access timing, and FTL writes.
+//! generation, the event queue, DRAM access timing, FTL writes, and one
+//! serve batch per engine.
 //!
 //! These are host-performance benches (how fast the *simulator* runs),
 //! complementing the `fig*` binaries that measure *simulated* time. The
@@ -11,17 +12,20 @@
 //! `FW_MICRO_QUICK=1` shrinks every batch ~50× — a CI smoke mode that
 //! checks the benches run, not their numbers.
 
+use std::borrow::Cow;
 use std::hint::black_box;
 use std::time::Instant;
 
 use flashwalker::tables::{BloomFilter, DenseTable, WalkQueryCache};
+use flashwalker::{AccelConfig, FlashWalkerSim, FwLayout};
 use fw_dram::{Dram, DramConfig, DramOp};
 use fw_graph::partition::PartitionConfig;
 use fw_graph::rmat::{generate_csr, RmatParams};
 use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable};
 use fw_nand::{Ftl, SsdConfig};
 use fw_sim::{EventQueue, HeapEventQueue, SimTime, Xoshiro256pp};
-use fw_walk::{sample_biased, sample_unbiased};
+use fw_walk::{sample_biased, sample_unbiased, WalkEngine, Workload};
+use graphwalker::{GraphWalkerSim, GwConfig, GwLayout};
 
 /// Batch size scaled for the mode: full by default, ~50× smaller under
 /// `FW_MICRO_QUICK` (CI smoke).
@@ -133,7 +137,7 @@ fn bench_bloom_and_dense() {
             subgraphs_per_partition: 10_000,
         },
     );
-    let mut dense = DenseTable::build(&pg);
+    let dense = DenseTable::build(&pg);
     let mut rng2 = Xoshiro256pp::new(5);
     bench("dense_table_lookup", iters(500_000), || {
         let v = rng2.next_below(5_000) as u32;
@@ -259,6 +263,43 @@ fn bench_ftl() {
     });
 }
 
+fn bench_serve_batch() {
+    // What `fw-serve` pays per engine run: construct an engine over the
+    // shared per-graph layout and run one small DeepWalk batch with the
+    // walk log on. The layout is built once, outside the timed loop, as
+    // the service loop builds it once per run.
+    let csr = generate_csr(RmatParams::graph500(), 50_000, 1_000_000, 3);
+    let cfg = AccelConfig::scaled();
+    let pg = PartitionedGraph::build(
+        &csr,
+        PartitionConfig {
+            subgraph_bytes: 16 << 10,
+            id_bytes: 4,
+            subgraphs_per_partition: cfg.mapping_table_entries(),
+        },
+    );
+    let ssd = SsdConfig::scaled();
+    let wl = Workload::deepwalk(64, 6);
+    let fw_layout = FwLayout::build(&pg, &cfg, &ssd);
+    let mut seed = 0u64;
+    bench("serve_batch_fw", iters(1_000), || {
+        seed += 1;
+        FlashWalkerSim::from_layout(&csr, &pg, Cow::Borrowed(&fw_layout), cfg, ssd, seed)
+            .with_walk_log()
+            .run(wl)
+            .time
+    });
+    let gw_cfg = GwConfig::scaled();
+    let gw_layout = GwLayout::build(&csr, 4, &gw_cfg, &ssd);
+    bench("serve_batch_gw", iters(1_000), || {
+        seed += 1;
+        GraphWalkerSim::from_layout(&csr, Cow::Borrowed(&gw_layout), 4, gw_cfg, ssd, seed)
+            .with_walk_log()
+            .run(wl)
+            .time
+    });
+}
+
 fn main() {
     bench_mapping();
     bench_query_cache();
@@ -268,4 +309,5 @@ fn main() {
     bench_event_queue();
     bench_dram();
     bench_ftl();
+    bench_serve_batch();
 }

@@ -11,8 +11,9 @@
 //! * [`LoadError::Invariant`] — the record parsed but violates an
 //!   internal accounting invariant (critical-path shares that don't sum
 //!   to the end-to-end time, journey segments that don't reconcile with
-//!   their walk's latency, a seed statistic with `min > max`, a
-//!   `num_seeds` that contradicts `env.seeds`). Exit code **4**.
+//!   their walk's latency, a seed statistic with `min > max` or a
+//!   `mean` outside `[min, max]`, a `num_seeds` that contradicts
+//!   `env.seeds`). Exit code **4**.
 //!
 //! Usage errors keep exit code **2** (the binary's `usage()`), and exit
 //! **1** stays reserved for "the command ran and the gate failed". See
@@ -21,7 +22,7 @@
 use std::fmt;
 use std::path::Path;
 
-use crate::bench_json::{BenchReport, Json};
+use crate::bench_json::{BenchReport, Json, StatF, StatU};
 
 /// Why a record could not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,20 +160,10 @@ pub fn validate_report(rep: &BenchReport) -> Result<(), String> {
                 sc.name, sc.num_seeds
             ));
         }
-        ordered(
-            &sc.name,
-            "sim_time_ns",
-            sc.sim_time_ns.min,
-            sc.sim_time_ns.max,
-        )?;
-        ordered(
-            &sc.name,
-            "wall_time_ms",
-            sc.wall_time_ms.min,
-            sc.wall_time_ms.max,
-        )?;
+        stat_u(&sc.name, "sim_time_ns", &sc.sim_time_ns)?;
+        stat_f(&sc.name, "wall_time_ms", &sc.wall_time_ms)?;
         if let Some(s) = &sc.speedup_over_graphwalker {
-            ordered(&sc.name, "speedup_over_graphwalker", s.min, s.max)?;
+            stat_f(&sc.name, "speedup_over_graphwalker", s)?;
         }
         if let Some(c) = &sc.critical {
             validate_critical(&sc.name, c)?;
@@ -182,33 +173,41 @@ pub fn validate_report(rep: &BenchReport) -> Result<(), String> {
         }
     }
     for h in rep.host.iter().flatten() {
-        ordered(&h.name, "host wall_ns", h.wall_ns.min, h.wall_ns.max)?;
-        ordered(
-            &h.name,
-            "host host_events",
-            h.host_events.min,
-            h.host_events.max,
-        )?;
-        ordered(
-            &h.name,
-            "host events_per_sec",
-            h.events_per_sec.min,
-            h.events_per_sec.max,
-        )?;
+        stat_u(&h.name, "host wall_ns", &h.wall_ns)?;
+        stat_u(&h.name, "host host_events", &h.host_events)?;
+        stat_f(&h.name, "host events_per_sec", &h.events_per_sec)?;
     }
     Ok(())
 }
 
+/// An integer seed statistic: its rounded mean lies exactly within
+/// `[min, max]`.
+fn stat_u(scenario: &str, stat: &str, s: &StatU) -> Result<(), String> {
+    bounded(scenario, stat, s.mean, s.min, s.max, 0)
+}
+
+/// A float seed statistic. Records print mean, min and max rounded to 4
+/// decimals each, so a mean one unit of that digit outside `[min, max]`
+/// is rounding; two units is not.
+fn stat_f(scenario: &str, stat: &str, s: &StatF) -> Result<(), String> {
+    bounded(scenario, stat, s.mean, s.min, s.max, 1.5e-4)
+}
+
 /// A seed statistic's `min` may not exceed its `max`: `compare` derives
 /// its noise band from `max - min`, which such a row would wrap or negate.
-fn ordered<T: PartialOrd + fmt::Display>(
-    scenario: &str,
-    stat: &str,
-    min: T,
-    max: T,
-) -> Result<(), String> {
+/// Its `mean` must lie within `[min, max]`, up to `slack`, or the row
+/// describes no set of observations.
+fn bounded<T>(scenario: &str, stat: &str, mean: T, min: T, max: T, slack: T) -> Result<(), String>
+where
+    T: PartialOrd + fmt::Display + Copy + std::ops::Add<Output = T>,
+{
     if min > max {
         return Err(format!("{scenario}: {stat} min {min} exceeds max {max}"));
+    }
+    if mean + slack < min || mean > max + slack {
+        return Err(format!(
+            "{scenario}: {stat} mean {mean} lies outside [min {min}, max {max}]"
+        ));
     }
     Ok(())
 }
@@ -347,6 +346,58 @@ mod tests {
             err.contains("speedup_over_graphwalker min 4.5 exceeds max 4"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn seed_stat_mean_must_lie_within_min_max() {
+        let mut rep = crate::bench_json::tests_support::tiny_report();
+        rep.scenarios[0].sim_time_ns.mean = 1011;
+        let err = validate_report(&rep).unwrap_err();
+        assert!(
+            err.contains("sim_time_ns mean 1011 lies outside [min 990, max 1010]"),
+            "{err}"
+        );
+
+        // One unit of the printed 4th decimal is rounding; two are not.
+        let speedup = |mean: f64| {
+            let mut rep = crate::bench_json::tests_support::tiny_report();
+            rep.scenarios[0]
+                .speedup_over_graphwalker
+                .as_mut()
+                .unwrap()
+                .mean = mean;
+            validate_report(&rep)
+        };
+        speedup(5.5001).expect("one unit above max is rounding");
+        speedup(4.4999).expect("one unit below min is rounding");
+        let err = speedup(5.5002).unwrap_err();
+        assert!(
+            err.contains("speedup_over_graphwalker mean 5.5002 lies outside [min 4.5, max 5.5]"),
+            "{err}"
+        );
+        assert!(speedup(4.4998).is_err());
+
+        let mut rep = crate::bench_json::tests_support::tiny_report();
+        rep.host = Some(vec![crate::bench_json::HostScenario {
+            name: "fw/TT/w100".into(),
+            wall_ns: StatU {
+                mean: 10,
+                min: 10,
+                max: 10,
+            },
+            host_events: StatU {
+                mean: 5,
+                min: 5,
+                max: 5,
+            },
+            events_per_sec: StatF {
+                mean: 2.0,
+                min: 0.5,
+                max: 1.0,
+            },
+        }]);
+        let err = validate_report(&rep).unwrap_err();
+        assert!(err.contains("host events_per_sec mean 2"), "{err}");
     }
 
     #[test]

@@ -208,8 +208,20 @@ fn compare_refuses_corrupt_seed_stats_as_invariant_failures() {
     inverted.scenarios[0].sim_time_ns.min = 5_000;
     let mut miscounted = tiny_report();
     miscounted.scenarios[0].num_seeds = 5;
+    // A mean outside [min, max] describes no set of seed observations.
+    let mut stray_mean = tiny_report();
+    stray_mean.scenarios[0]
+        .speedup_over_graphwalker
+        .as_mut()
+        .unwrap()
+        .mean = 9.0;
     for (name, rep, want) in [
         ("BENCH_inverted.json", inverted, "min 5000 exceeds max 1010"),
+        (
+            "BENCH_stray_mean.json",
+            stray_mean,
+            "speedup_over_graphwalker mean 9 lies outside [min 4.5, max 5.5]",
+        ),
         (
             "BENCH_miscounted.json",
             miscounted,

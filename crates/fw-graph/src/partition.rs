@@ -16,7 +16,7 @@
 use crate::csr::{Csr, VertexId};
 
 /// Partitioning parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionConfig {
     /// Graph-block capacity in bytes (paper: 256 KB, 512 KB for ClueWeb;
     /// scaled: 16 KB / 32 KB).

@@ -1,7 +1,9 @@
 //! The virtual-timeline service loop.
 //!
 //! `run_serve` replays an open-loop arrival timeline against one device
-//! (a [`fw_walk::WalkEngine`] instance per batch) on a simulated clock:
+//! on a simulated clock. The device's graph layout is built once per
+//! call, like the paper's preprocessing; each batch then runs a fresh
+//! [`fw_walk::WalkEngine`] instance over that shared layout:
 //!
 //! 1. Arrivals are offered to [`Admission`] in timestamp order; admitted
 //!    queries join their tenant's FIFO queue.
@@ -23,15 +25,16 @@
 //! [`fw_sim::derive_stream_seed`], so the whole run — and the record
 //! built from it — is a pure function of [`ServeConfig`].
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
-use flashwalker::{AccelConfig, FlashWalkerSim};
+use flashwalker::{AccelConfig, FlashWalkerSim, FwLayout};
 use fw_graph::{Csr, PartitionedGraph, VertexId};
 use fw_nand::SsdConfig;
 use fw_sim::{derive_stream_seed, Xoshiro256pp};
 use fw_trace::JourneyLatency;
 use fw_walk::{RunReport, WalkEngine};
-use graphwalker::{GraphWalkerSim, GwConfig};
+use graphwalker::{GraphWalkerSim, GwConfig, GwLayout};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
 use crate::arrival::ArrivalProcess;
@@ -278,17 +281,49 @@ impl ServeReport {
     }
 }
 
-/// Run one batch through the configured engine with walk logging.
+/// The serving engine's per-graph layout: built once per service run
+/// and borrowed by every batch's engine, since nothing in it changes
+/// between batches.
+enum EngineLayout {
+    Flashwalker(FwLayout),
+    Graphwalker(GwLayout),
+}
+
+impl EngineLayout {
+    fn build(host: &ServeHost, engine: ServeEngine) -> Self {
+        match engine {
+            ServeEngine::Flashwalker => EngineLayout::Flashwalker(FwLayout::build(
+                host.pg,
+                &AccelConfig::scaled(),
+                &SsdConfig::scaled(),
+            )),
+            ServeEngine::Graphwalker => EngineLayout::Graphwalker(GwLayout::build(
+                host.csr,
+                host.id_bytes,
+                &gw_config(host),
+                &SsdConfig::scaled(),
+            )),
+        }
+    }
+}
+
+fn gw_config(host: &ServeHost) -> GwConfig {
+    GwConfig::scaled().with_memory(host.gw_memory_bytes)
+}
+
+/// Run one batch over the shared layout with walk logging.
 fn run_batch(
     host: &ServeHost,
     cfg: &ServeConfig,
+    layout: &EngineLayout,
     workload: fw_walk::Workload,
     batch_seed: u64,
 ) -> RunReport {
-    match cfg.engine {
-        ServeEngine::Flashwalker => FlashWalkerSim::new(
+    match layout {
+        EngineLayout::Flashwalker(layout) => FlashWalkerSim::from_layout(
             host.csr,
             host.pg,
+            Cow::Borrowed(layout),
             AccelConfig::scaled(),
             SsdConfig::scaled(),
             batch_seed,
@@ -296,10 +331,11 @@ fn run_batch(
         .with_threads(cfg.threads.max(1))
         .with_walk_log()
         .run(workload),
-        ServeEngine::Graphwalker => GraphWalkerSim::new(
+        EngineLayout::Graphwalker(layout) => GraphWalkerSim::from_layout(
             host.csr,
+            Cow::Borrowed(layout),
             host.id_bytes,
-            GwConfig::scaled().with_memory(host.gw_memory_bytes),
+            gw_config(host),
             SsdConfig::scaled(),
             batch_seed,
         )
@@ -316,7 +352,14 @@ fn run_batch(
 /// derived load points are as byte-deterministic as everything else.
 pub fn probe_walks_per_sec(host: &ServeHost, cfg: &ServeConfig, walks: u64) -> f64 {
     let seed = derive_stream_seed(cfg.seed, SERVE_BATCH_STREAM ^ u64::MAX);
-    let report = run_batch(host, cfg, fw_walk::Workload::deepwalk(walks, 6), seed);
+    let layout = EngineLayout::build(host, cfg.engine);
+    let report = run_batch(
+        host,
+        cfg,
+        &layout,
+        fw_walk::Workload::deepwalk(walks, 6),
+        seed,
+    );
     report.walks as f64 / (report.time.0.max(1) as f64 / 1e9)
 }
 
@@ -334,6 +377,7 @@ pub fn run_serve(host: &ServeHost, cfg: &ServeConfig) -> ServeReport {
         "tenant count mismatch"
     );
 
+    let layout = EngineLayout::build(host, cfg.engine);
     let mut admission = Admission::new(cfg.admission);
     let mut cache = WalkCache::new(cfg.cache);
     let mut cache_rng = Xoshiro256pp::new(derive_stream_seed(cfg.seed, SERVE_CACHE_STREAM));
@@ -400,7 +444,7 @@ pub fn run_serve(host: &ServeHost, cfg: &ServeConfig) -> ServeReport {
                 let batch_seed =
                     derive_stream_seed(cfg.seed, SERVE_BATCH_STREAM ^ batches.rotate_left(17));
                 let workload = head.kind.workload(total_walks, weighted);
-                let report = run_batch(host, cfg, workload, batch_seed);
+                let report = run_batch(host, cfg, &layout, workload, batch_seed);
                 engine_runs += 1;
                 engine_sim_ns += report.time.0;
                 walks_completed += report.walks;
@@ -603,5 +647,50 @@ mod tests {
         r.check().unwrap();
         assert_eq!(r.engine, "graphwalker");
         assert_eq!(r.admission.offered, 20);
+    }
+
+    /// 64-bit FNV-1a over a record's bytes.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the service loop's exact output for both engines, including
+    /// an overloaded run that exercises admission and the walk cache, and
+    /// the capacity probe. The constants were taken before the engines'
+    /// per-graph layouts were hoisted out of the batch loop.
+    #[test]
+    fn serve_output_is_pinned_byte_for_byte() {
+        let (csr, pg) = small_graph();
+        let host = ServeHost {
+            csr: &csr,
+            pg: &pg,
+            id_bytes: 4,
+            gw_memory_bytes: 8 << 20,
+        };
+        let mut overload = cfg(ServeEngine::Flashwalker, 42, 200_000.0);
+        overload.queries = 120;
+        let mut gw = cfg(ServeEngine::Graphwalker, 42, 1000.0);
+        gw.queries = 20;
+        for (name, c, want) in [
+            (
+                "fw@2000",
+                cfg(ServeEngine::Flashwalker, 42, 2000.0),
+                0xed30_dee3_f742_79fa,
+            ),
+            ("fw@200000", overload, 0x783d_ca20_090f_c67f),
+            ("gw@1000", gw, 0x3dbd_e321_2157_0aa4),
+        ] {
+            let got = fnv1a(&run_serve(&host, &c).to_json());
+            assert_eq!(got, want, "{name} record drifted: {got:#018x}");
+        }
+        for (name, engine, want) in [
+            ("fw", ServeEngine::Flashwalker, 0x4139_885f_fb2e_4cf0),
+            ("gw", ServeEngine::Graphwalker, 0x413f_e654_f3ed_d1ff),
+        ] {
+            let got = probe_walks_per_sec(&host, &cfg(engine, 42, 1000.0), 256).to_bits();
+            assert_eq!(got, want, "{name} probe drifted: {got:#018x}");
+        }
     }
 }

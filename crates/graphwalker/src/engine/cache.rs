@@ -35,7 +35,7 @@ impl GraphWalkerSim<'_> {
     /// [`Self::block_of_in`] on the root RNG — the init path, which draws
     /// identically in both RNG universes.
     pub(super) fn block_of(&mut self, v: VertexId) -> u32 {
-        Self::block_of_in(&self.blocks, v, &mut self.rng)
+        Self::block_of_in(&self.layout.blocks, v, &mut self.rng)
     }
 
     /// Pick the block with the most waiting walks (state-aware
@@ -71,7 +71,7 @@ impl GraphWalkerSim<'_> {
         // ECC verdict is visible: a hard-failed page goes through the host
         // recovery path before its channel/PCIe leg. With faults off this
         // is timing-identical to `host_read_pages`.
-        let num_pages = self.placements[block as usize].pages.len();
+        let num_pages = self.layout.placements[block as usize].pages.len();
         let page_bytes = self.ssd.config().geometry.page_bytes;
         let start = run.now + self.ssd.config().nvme_cmd_overhead;
         let mut done = start;
@@ -84,7 +84,7 @@ impl GraphWalkerSim<'_> {
         let mut array_done = start;
         let mut pcie_start: Option<SimTime> = None;
         for i in 0..num_pages {
-            let ppa = self.placements[block as usize].pages[i];
+            let ppa = self.layout.placements[block as usize].pages[i];
             let (rd, fault) = self.ssd.array_read_checked(start, ppa);
             let mut end = rd.end;
             if j_on && fault.extra.as_nanos() > 0 {

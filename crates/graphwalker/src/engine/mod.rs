@@ -12,20 +12,25 @@
 //!
 //! * `cache` — block residency: vertex→block mapping, state-aware block
 //!   picking, the LRU host cache and spilled-walk read-back.
+//! * `layout` — [`GwLayout`]: blocking and SSD placement, built once per
+//!   graph and shared by every run over it.
 //! * `update` — walk progress: the asynchronous update batch and the
 //!   walk-buffer spill policy.
 //!
-//! This file owns the simulator struct, construction (blocking + SSD
-//! layout) and the top-level scheduler loop.
+//! This file owns the simulator struct, construction over a layout and
+//! the top-level scheduler loop.
 
 mod cache;
+mod layout;
 mod update;
 
+pub use layout::GwLayout;
+
+use std::borrow::Cow;
+
 use fw_fault::{derive_stream_seed, FaultProfile, FAULT_STREAM};
-use fw_graph::partition::PartitionConfig;
-use fw_graph::{Csr, PartitionedGraph};
-use fw_nand::layout::GraphBlockPlacement;
-use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
+use fw_graph::Csr;
+use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{
     CriticalConfig, CriticalRecorder, CriticalReport, Duration, JourneyConfig, JourneyEventKind,
     JourneyRecorder, JourneyReport, LaneRngs, RngModel, SimTime, TimeSeries, TraceConfig,
@@ -156,8 +161,8 @@ pub(super) struct GwRun {
 /// The GraphWalker simulator.
 pub struct GraphWalkerSim<'g> {
     csr: &'g Csr,
-    blocks: PartitionedGraph,
-    placements: Vec<GraphBlockPlacement>,
+    /// Blocks and their SSD placement; read-only during the run.
+    layout: Cow<'g, GwLayout>,
     cfg: GwConfig,
     wl: Workload,
     ssd: Ssd,
@@ -217,49 +222,35 @@ impl<'g> GraphWalkerSim<'g> {
     /// and lay them out on the shared SSD model. The workload is supplied
     /// at run time ([`Self::run_detailed`] / [`WalkEngine::run`]).
     pub fn new(csr: &'g Csr, id_bytes: u32, cfg: GwConfig, ssd_cfg: SsdConfig, seed: u64) -> Self {
-        let blocks = PartitionedGraph::build(
-            csr,
-            PartitionConfig {
-                subgraph_bytes: cfg.block_bytes,
-                id_bytes,
-                subgraphs_per_partition: u32::MAX,
-            },
-        );
-        let pages_per_block = (cfg.block_bytes / ssd_cfg.geometry.page_bytes).max(1) as u32;
-        let total_pages = blocks.num_subgraphs() as u64 * pages_per_block as u64;
-        let per_plane = total_pages.div_ceil(ssd_cfg.geometry.num_planes() as u64);
-        let static_blocks = (per_plane.div_ceil(ssd_cfg.geometry.pages_per_block as u64) as u32
-            + 1)
-        .min(ssd_cfg.geometry.blocks_per_plane - 4);
-        let mut layout = GraphLayout::new(ssd_cfg.geometry, static_blocks);
-        // GraphWalker block pages: sized by the block's actual bytes so a
-        // small final block doesn't read a full-size extent. Unlike
-        // FlashWalker's chip-local graph blocks, GraphWalker's blocks are
-        // ordinary host files — the FTL stripes them page-by-page across
-        // every chip, so a block load engages the whole device.
-        let placements: Vec<GraphBlockPlacement> = blocks
-            .subgraphs
-            .iter()
-            .map(|sg| {
-                let bytes = sg.bytes(id_bytes).max(ssd_cfg.geometry.page_bytes);
-                let pages = bytes.div_ceil(ssd_cfg.geometry.page_bytes) as u32;
-                let mut placement = layout.place_block(0);
-                for _ in 0..pages {
-                    placement.pages.extend(layout.place_block(1).pages);
-                }
-                placement
-            })
-            .collect();
-        let pools = (0..blocks.num_subgraphs())
+        let layout = GwLayout::build(csr, id_bytes, &cfg, &ssd_cfg);
+        Self::from_layout(csr, Cow::Owned(layout), id_bytes, cfg, ssd_cfg, seed)
+    }
+
+    /// Build the engine over a prepared [`GwLayout`], which callers
+    /// running many batches over one graph build once and borrow.
+    ///
+    /// # Panics
+    /// Panics if `layout` was not built for this `csr`, `id_bytes`,
+    /// `cfg.block_bytes` and SSD geometry.
+    pub fn from_layout(
+        csr: &'g Csr,
+        layout: Cow<'g, GwLayout>,
+        id_bytes: u32,
+        cfg: GwConfig,
+        ssd_cfg: SsdConfig,
+        seed: u64,
+    ) -> Self {
+        layout.assert_built_for(csr, id_bytes, &cfg, &ssd_cfg);
+        let pools = (0..layout.num_blocks())
             .map(|_| BlockPool {
                 walks: Vec::new(),
                 spilled: Vec::new(),
             })
             .collect();
+        let static_blocks = layout.static_blocks;
         GraphWalkerSim {
             csr,
-            blocks,
-            placements,
+            layout,
             cfg,
             wl: Workload::paper_default(0),
             ssd: Ssd::new(ssd_cfg, static_blocks),
@@ -412,7 +403,7 @@ impl<'g> GraphWalkerSim<'g> {
 
     /// Number of GraphWalker blocks for this graph.
     pub fn num_blocks(&self) -> u32 {
-        self.blocks.num_subgraphs()
+        self.layout.num_blocks()
     }
 
     /// Run `wl` to completion and return the engine-specific report. The
@@ -977,6 +968,48 @@ mod tests {
         let r =
             GraphWalkerSim::new(&g, 4, small_cfg(96 << 10), SsdConfig::tiny(), 5).run_detailed(wl);
         assert_eq!(r.walks, 1_000);
+    }
+
+    /// One layout shared by several runs gives the same reports as an
+    /// engine that builds its own, whatever the seed or instrumentation.
+    #[test]
+    fn shared_layout_runs_match_fresh_engines() {
+        let g = graph(2000, 20_000);
+        let cfg = small_cfg(96 << 10);
+        let ssd = SsdConfig::tiny();
+        let layout = GwLayout::build(&g, 4, &cfg, &ssd);
+        type Setup = fn(GraphWalkerSim<'_>) -> GraphWalkerSim<'_>;
+        let runs: [(u64, Setup); 4] = [
+            (5, |e| e.with_walk_log()),
+            (6, |e| e.with_faults(fw_fault::FaultProfile::heavy())),
+            (7, |e| e.with_span_trace(TraceConfig::default())),
+            (8, |e| e.with_journeys(JourneyConfig::default())),
+        ];
+        for (seed, setup) in runs {
+            let wl = Workload::paper_default(2_000);
+            let fresh = setup(GraphWalkerSim::new(&g, 4, cfg, ssd, seed)).run_detailed(wl);
+            let shared = GraphWalkerSim::from_layout(&g, Cow::Borrowed(&layout), 4, cfg, ssd, seed);
+            let shared = setup(shared).run_detailed(wl);
+            assert_eq!(
+                format!("{shared:?}"),
+                format!("{fresh:?}"),
+                "seed {seed}: shared-layout report differs"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GwLayout was built for a different")]
+    fn layout_built_for_another_block_size_is_refused() {
+        let g = graph(800, 8_000);
+        let cfg = small_cfg(64 << 10);
+        let layout = GwLayout::build(&g, 4, &cfg, &SsdConfig::tiny());
+        let other = GwConfig {
+            block_bytes: cfg.block_bytes * 2,
+            ..cfg
+        };
+        let _ =
+            GraphWalkerSim::from_layout(&g, Cow::Borrowed(&layout), 4, other, SsdConfig::tiny(), 5);
     }
 
     #[test]

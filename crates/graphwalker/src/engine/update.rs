@@ -53,7 +53,7 @@ impl GraphWalkerSim<'_> {
                     }
                     WalkEvent::Moved(next) => {
                         w = next;
-                        let b = Self::block_of_in(&self.blocks, w.cur, &mut wrng);
+                        let b = Self::block_of_in(&self.layout.blocks, w.cur, &mut wrng);
                         if self.cache.contains(&b) {
                             // Keep updating inside cached blocks, but
                             // account the walk to its block if we stop.

@@ -34,5 +34,5 @@ pub mod iterative;
 
 pub use breakdown::TimeBreakdown;
 pub use config::GwConfig;
-pub use engine::{GraphWalkerSim, GwReport};
+pub use engine::{GraphWalkerSim, GwLayout, GwReport};
 pub use iterative::{IterReport, IterativeSim};
